@@ -1,10 +1,12 @@
 // Command swiftd runs a SWIFT controller as a daemon (§7's deployment
-// scheme). It has two ingestion modes:
+// scheme). Both ingestion modes feed one engine fleet: one SWIFT engine
+// per BGP session, sharded across dataplane workers, reporting every
+// burst, inference and reroute it performs. The modes differ only in
+// where the sessions come from.
 //
-// eBGP mode maintains one live session over TCP, feeds the primary
-// session's stream into a single SWIFT engine, and reports every
-// inference and reroute it performs. Listen for one passive session
-// (the protected router's primary peer dials in):
+// eBGP mode maintains one live session over TCP with a peer of the
+// protected router (the ExaBGP role of §7). Listen for one passive
+// session (the peer dials in):
 //
 //	swiftd -local-as 65001 -router-id 1.1.1.1 -listen :1790 -primary-as 65010
 //
@@ -13,36 +15,37 @@
 //	swiftd -local-as 65001 -router-id 1.1.1.1 -dial 192.0.2.1:179 -primary-as 65010
 //
 // BMP mode (RFC 7854) accepts monitored-router connections and runs
-// one SWIFT engine per monitored peer — the multi-session deployment
-// that watches every peer of the protected router at once:
+// one engine per monitored peer — the multi-session deployment that
+// watches every peer of the protected router at once:
 //
 //	swiftd -local-as 65001 -bmp-listen :11019
 //
-// Each peer's engine provisions from the in-band table dump the
-// router sends after Peer Up (End-of-RIB or the -settle quiet period
-// ends the dump).
-//
-// In eBGP mode the initial table is learned from the peer's opening
-// announcement flood; alternates can be preloaded from a TABLE_DUMP_V2
-// MRT snapshot with -alternates-rib (in BMP mode the snapshot is
-// loaded into every monitored peer's engine).
+// Each peer's engine provisions from its table transfer — the eBGP
+// peer's opening announcements, or the in-band dump a BMP router sends
+// after Peer Up — which End-of-RIB or the -settle quiet period ends.
+// The engine's primary neighbor is the session's peer AS. Alternates
+// can be preloaded from a TABLE_DUMP_V2 MRT snapshot with
+// -alternates-rib; the snapshot is loaded into every peer's engine.
 //
 // Either mode exposes an ops HTTP plane with -http (e.g. -http :8080):
 // GET /metrics serves Prometheus text exposition, /healthz liveness,
 // /peers per-peer status JSON, /bursts the burst trace ring, and
-// /debug/pprof/ the Go profiler. -metrics-interval controls the
-// periodic stats log line (0 disables it) and -log-level filters the
-// daemon log (debug, info, warn, error).
+// /debug/pprof/ the Go profiler. Peers are labelled by their session
+// key, AS<as>/<bgpid>. -metrics-interval controls the periodic stats
+// log line (0 disables it) and -log-level filters the daemon log
+// (debug, info, warn, error).
 //
-// In BMP mode -snapshot-dir enables warm restarts: the fleet is
+// -snapshot-dir enables warm restarts in either mode: the fleet is
 // checkpointed to <dir>/fleet.snap on SIGUSR1, on POST /snapshot and on
 // shutdown, and a start that finds a snapshot restores every peer's
-// provisioned engine from it instead of waiting for routers to re-dump
-// their tables. /healthz reports whether the start was warm or cold.
+// provisioned engine from it; a restored peer's returning session skips
+// its table transfer and streams live at once. /healthz reports whether
+// the start was warm or cold.
 //
-// SIGINT/SIGTERM shut either mode down cleanly: sessions close with a
-// CEASE notification, the BMP station drains its engine fleet, and the
-// final status is printed before exit.
+// SIGINT/SIGTERM shut either mode down cleanly: the eBGP session closes
+// with a CEASE notification or the BMP station closes its connections,
+// the fleet drains every queued batch, and the final status is printed
+// before exit.
 package main
 
 import (
@@ -56,14 +59,12 @@ import (
 	"syscall"
 	"time"
 
-	"swift/internal/bgp"
 	"swift/internal/bgpd"
 	"swift/internal/bmp"
 	"swift/internal/controller"
 	"swift/internal/fusion"
 	"swift/internal/inference"
 	"swift/internal/mrt"
-	"swift/internal/netaddr"
 	swiftengine "swift/internal/swift"
 	"swift/internal/telemetry"
 	"swift/internal/telemetry/logging"
@@ -85,7 +86,7 @@ func main() {
 		metricsInt = flag.Duration("metrics-interval", 10*time.Second, "periodic stats log interval (0 disables)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		ringSize   = flag.Int("burst-ring", 256, "burst trace ring capacity (records kept for /bursts)")
-		snapDir    = flag.String("snapshot-dir", "", "directory for warm-restart snapshots (BMP mode only): restore on start, checkpoint on SIGUSR1, POST /snapshot and shutdown")
+		snapDir    = flag.String("snapshot-dir", "", "directory for warm-restart snapshots: restore on start, checkpoint on SIGUSR1, POST /snapshot and shutdown")
 		fused      = flag.Bool("fusion", false, "enable fleet-level evidence fusion across BMP-monitored sessions (BMP mode only)")
 		fusionK    = flag.Int("fusion-k", 0, "fusion: peers whose corroborating evidence confirms a link (0 = default)")
 		fusionThr  = flag.Float64("fusion-threshold", 0, "fusion: fused Fit-Score a link must reach to be confirmed (0 = default)")
@@ -120,6 +121,13 @@ func main() {
 		}
 		logger.Infof("loaded %d alternate RIB records from %s", len(alternates), *altRIB)
 	}
+	var fusionCfg *fusion.Config
+	if *fused {
+		if *bmpListen == "" {
+			logger.Fatalf("-fusion requires -bmp-listen (fusion spans a fleet of monitored sessions)")
+		}
+		fusionCfg = &fusion.Config{K: *fusionK, FuseThreshold: *fusionThr}
+	}
 
 	// Graceful shutdown on SIGINT/SIGTERM: both modes get a signal
 	// channel and finish their writes instead of dying mid-stream.
@@ -128,85 +136,73 @@ func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	if *snapDir != "" {
-		if *bmpListen == "" {
-			logger.Fatalf("-snapshot-dir requires -bmp-listen (snapshots capture an engine fleet)")
-		}
 		signal.Notify(sigs, syscall.SIGUSR1)
 	}
 
-	d := daemon{
+	d := &daemon{
 		logger:   logger,
 		registry: telemetry.NewRegistry(),
 		ring:     telemetry.NewBurstRing(*ringSize),
-		httpAddr: *httpAddr,
 		interval: *metricsInt,
+		snapDir:  *snapDir,
+		snapPath: filepath.Join(*snapDir, "fleet.snap"),
 	}
-	if *fused {
-		if *bmpListen == "" {
-			logger.Fatalf("-fusion requires -bmp-listen (fusion spans a fleet of monitored sessions)")
-		}
-		d.fusion = &fusion.Config{K: *fusionK, FuseThreshold: *fusionThr}
-	}
+	d.openFleet(fleetConfig(uint32(*localAS), alternates, uint32(*altAS), fusionCfg, logger))
+
+	opsCfg := ops.Config{Fleet: d.fleet}
+	var station *bmp.Station
 	if *bmpListen != "" {
-		d.snapDir = *snapDir
-		d.runBMP(*bmpListen, uint32(*localAS), *settle, alternates, uint32(*altAS), sigs)
-		return
+		station = bmp.NewStation(bmp.StationConfig{
+			Sink:        d.fleet,
+			TableSettle: *settle,
+			Logf:        logger.Infof,
+		})
+		opsCfg.Station = station
 	}
-	d.runBGP(*listen, *dial, uint32(*localAS), parseID(logger, *routerID), uint32(*primaryAS),
-		*settle, alternates, uint32(*altAS), sigs)
-}
-
-// daemon carries the telemetry spine shared by both ingestion modes.
-type daemon struct {
-	logger   *logging.Logger
-	registry *telemetry.Registry
-	ring     *telemetry.BurstRing
-	httpAddr string
-	interval time.Duration
-	// fusion, when set, shares one evidence aggregator across the BMP
-	// fleet's engines (-fusion; nil runs classic per-peer SWIFT).
-	fusion *fusion.Config
-	// snapDir, when set, holds the warm-restart snapshot (BMP mode).
-	snapDir string
-}
-
-// serveOps starts the ops HTTP listener when -http was given. The
-// server dies with the process; nothing needs a graceful drain.
-func (d *daemon) serveOps(cfg ops.Config) {
-	if d.httpAddr == "" {
-		return
+	if d.snapDir != "" {
+		opsCfg.Snapshot = d.checkpoint
+		opsCfg.RestoreStatus = func() string { return d.restoreStatus }
 	}
-	cfg.Registry = d.registry
-	cfg.Ring = d.ring
-	handler := ops.NewHandler(cfg)
-	go func() {
-		d.logger.Infof("ops HTTP listening on %s", d.httpAddr)
-		if err := http.ListenAndServe(d.httpAddr, handler); err != nil {
-			d.logger.Errorf("ops http: %v", err)
+	d.serveOps(*httpAddr, opsCfg)
+
+	var in ingest
+	if station != nil {
+		in = bmpIngest(logger, station, *bmpListen)
+	} else {
+		sess := d.establish(*listen, *dial, bgpd.Config{
+			LocalAS:     uint32(*localAS),
+			RouterID:    parseID(logger, *routerID),
+			TableSettle: *settle,
+			Logf:        logger.Infof,
+		}, sigs)
+		if sess == nil {
+			d.fleet.Close()
+			return
 		}
-	}()
-}
-
-// metricsC returns the periodic stats-log channel, nil (blocks forever
-// in select) when -metrics-interval is 0.
-func (d *daemon) metricsC() (<-chan time.Time, func()) {
-	if d.interval <= 0 {
-		return nil, func() {}
+		if *primaryAS != 0 && sess.PeerAS() != uint32(*primaryAS) {
+			sess.Close()
+			logger.Fatalf("peer AS %d, expected %d", sess.PeerAS(), *primaryAS)
+		}
+		in = ingest{
+			serve: func() error { return sess.Run(d.fleet) },
+			stop: func() {
+				if err := sess.Close(); err != nil {
+					logger.Warnf("session close: %v", err)
+				}
+			},
+		}
 	}
-	t := time.NewTicker(d.interval)
-	return t.C, t.Stop
+	d.run(in, sigs)
 }
 
-// runBMP serves a BMP station over an instrumented engine fleet until a
-// signal. The fleet's Observer hooks push every burst, decision and
-// fallback straight into the daemon log as they happen — no decision
-// polling, no log scraping — while the telemetry registry and trace
-// ring feed the ops plane.
-func (d *daemon) runBMP(addr string, localAS uint32, settle time.Duration, alternates []mrt.RIBRecord, altAS uint32, sigs <-chan os.Signal) {
-	logger := d.logger
-	ft := controller.NewFleetTelemetry(d.registry, d.ring)
-	fleetCfg := ft.Instrument(controller.FleetConfig{
-		Fusion: d.fusion,
+// fleetConfig is the engine fleet both modes run: every peer session
+// gets an engine whose primary neighbor is the session's peer AS, with
+// the alternates RIB preloaded. The fleet's Observer hooks push every
+// burst, decision and fallback straight into the daemon log as they
+// happen — no decision polling, no log scraping.
+func fleetConfig(localAS uint32, alternates []mrt.RIBRecord, altAS uint32, fused *fusion.Config, logger *logging.Logger) controller.FleetConfig {
+	return controller.FleetConfig{
+		Fusion: fused,
 		Engine: func(key controller.PeerKey) swiftengine.Config {
 			cfg := swiftengine.Config{
 				LocalAS:         localAS,
@@ -224,171 +220,155 @@ func (d *daemon) runBMP(addr string, localAS uint32, settle time.Duration, alter
 			}
 		},
 		Logf: logger.Debugf,
-	})
+	}
+}
 
-	// Warm restart: a snapshot in -snapshot-dir restores the whole
-	// provisioned fleet before the listener opens; any failure falls
-	// back to a cold start (monitored routers re-dump on reconnect).
-	var fleet *controller.Fleet
-	restoreStatus := "restore: cold start (no snapshot)"
-	snapPath := filepath.Join(d.snapDir, "fleet.snap")
+// daemon carries the fleet and the telemetry spine both ingestion
+// modes share.
+type daemon struct {
+	logger   *logging.Logger
+	registry *telemetry.Registry
+	ring     *telemetry.BurstRing
+	interval time.Duration
+	// snapDir, when set, holds the warm-restart snapshot at snapPath.
+	snapDir  string
+	snapPath string
+
+	fleet         *controller.Fleet
+	restoreStatus string
+}
+
+// openFleet instruments cfg and builds the fleet. Warm restart: a
+// snapshot in -snapshot-dir restores the whole provisioned fleet before
+// any session opens; any failure falls back to a cold start (peers
+// re-transfer their tables on connect).
+func (d *daemon) openFleet(cfg controller.FleetConfig) {
+	logger := d.logger
+	cfg = controller.NewFleetTelemetry(d.registry, d.ring).Instrument(cfg)
+	d.restoreStatus = "restore: cold start (no snapshot)"
 	if d.snapDir != "" {
-		if file, err := os.Open(snapPath); err == nil {
+		if file, err := os.Open(d.snapPath); err == nil {
 			start := time.Now()
-			restored, rerr := controller.RestoreFleet(file, fleetCfg)
+			restored, rerr := controller.RestoreFleet(file, cfg)
 			file.Close()
 			if rerr != nil {
-				logger.Warnf("snapshot restore from %s failed, cold start: %v", snapPath, rerr)
-				restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", rerr)
+				logger.Warnf("snapshot restore from %s failed, cold start: %v", d.snapPath, rerr)
+				d.restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", rerr)
 			} else {
-				fleet = restored
+				d.fleet = restored
 				took := time.Since(start).Round(time.Millisecond)
-				restoreStatus = fmt.Sprintf("restore: warm, %d peers from %s in %s", fleet.Len(), snapPath, took)
-				logger.Infof("restored %d peers from %s in %s", fleet.Len(), snapPath, took)
+				d.restoreStatus = fmt.Sprintf("restore: warm, %d peers from %s in %s", d.fleet.Len(), d.snapPath, took)
+				logger.Infof("restored %d peers from %s in %s", d.fleet.Len(), d.snapPath, took)
 			}
 		} else if !os.IsNotExist(err) {
-			logger.Warnf("snapshot %s unreadable, cold start: %v", snapPath, err)
-			restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", err)
+			logger.Warnf("snapshot %s unreadable, cold start: %v", d.snapPath, err)
+			d.restoreStatus = fmt.Sprintf("restore: failed (%v), cold start", err)
 		}
 	}
-	if fleet == nil {
-		fleet = controller.NewFleet(fleetCfg)
+	if d.fleet == nil {
+		d.fleet = controller.NewFleet(cfg)
 	}
+}
 
-	// checkpoint writes the fleet snapshot with temp+rename so the
-	// restore path never sees a torn file; SIGUSR1, POST /snapshot and
-	// shutdown all funnel through it.
-	checkpoint := func() error {
-		tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
-		if err != nil {
-			return err
-		}
-		if err := fleet.Snapshot(tmp); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := os.Rename(tmp.Name(), snapPath); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		return nil
+// checkpoint writes the fleet snapshot with temp+rename so the restore
+// path never sees a torn file; SIGUSR1, POST /snapshot and shutdown all
+// funnel through it.
+func (d *daemon) checkpoint() error {
+	tmp, err := os.CreateTemp(d.snapDir, "fleet.snap.tmp*")
+	if err != nil {
+		return err
 	}
-
-	station := bmp.NewStation(bmp.StationConfig{
-		Sink:        fleet,
-		TableSettle: settle,
-		Logf:        logger.Infof,
-	})
-	opsCfg := ops.Config{Fleet: fleet, Station: station}
-	if d.snapDir != "" {
-		opsCfg.Snapshot = checkpoint
-		opsCfg.RestoreStatus = func() string { return restoreStatus }
+	if err := d.fleet.Snapshot(tmp); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
 	}
-	d.serveOps(opsCfg)
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), d.snapPath); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
 
+// checkpointOn serves SIGUSR1 (a checkpoint without shutdown) and
+// reports whether sig was one; every other signal means shut down.
+func (d *daemon) checkpointOn(sig os.Signal) bool {
+	if sig != syscall.SIGUSR1 {
+		return false
+	}
+	if err := d.checkpoint(); err != nil {
+		d.logger.Warnf("snapshot checkpoint: %v", err)
+	} else {
+		d.logger.Infof("snapshot checkpointed to %s", d.snapPath)
+	}
+	return true
+}
+
+// serveOps starts the ops HTTP listener when -http was given. The
+// server dies with the process; nothing needs a graceful drain.
+func (d *daemon) serveOps(addr string, cfg ops.Config) {
+	if addr == "" {
+		return
+	}
+	cfg.Registry = d.registry
+	cfg.Ring = d.ring
+	handler := ops.NewHandler(cfg)
+	go func() {
+		d.logger.Infof("ops HTTP listening on %s", addr)
+		if err := http.ListenAndServe(addr, handler); err != nil {
+			d.logger.Errorf("ops http: %v", err)
+		}
+	}()
+}
+
+// ingest is one mode's feed into the fleet.
+type ingest struct {
+	// serve streams into the fleet until the feed ends or stop is
+	// called.
+	serve func() error
+	// stop ends the feed; it is idempotent.
+	stop func()
+	// status, when set, prefixes the periodic metrics line with the
+	// feed's own counters.
+	status func() string
+}
+
+// bmpIngest listens for monitored routers and serves them through the
+// station.
+func bmpIngest(logger *logging.Logger, station *bmp.Station, addr string) ingest {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		logger.Fatalf("%v", err)
 	}
 	logger.Infof("BMP station listening on %s", addr)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- station.Serve(ln) }()
-
-	metricsC, stop := d.metricsC()
-	defer stop()
-	for {
-		select {
-		case sig := <-sigs:
-			if sig == syscall.SIGUSR1 {
-				if err := checkpoint(); err != nil {
-					logger.Warnf("snapshot checkpoint: %v", err)
-				} else {
-					logger.Infof("snapshot checkpointed to %s", snapPath)
-				}
-				continue
-			}
-			logger.Infof("%v: shutting down station", sig)
+	return ingest{
+		serve: func() error { return station.Serve(ln) },
+		stop: func() {
 			if err := station.Close(); err != nil {
 				logger.Warnf("station close: %v", err)
 			}
-			if d.snapDir != "" {
-				// The station has drained, so this captures the fleet's
-				// final state; the next start restores it.
-				if err := checkpoint(); err != nil {
-					logger.Warnf("shutdown snapshot: %v", err)
-				} else {
-					logger.Infof("shutdown snapshot written to %s", snapPath)
-				}
-			}
-			fleet.Close()
-			logger.Infof("final: %s", fleet.Status())
-			return
-		case err := <-serveErr:
-			fleet.Close()
-			if err != nil {
-				logger.Fatalf("station: %v", err)
-			}
-			return
-		case <-metricsC:
+		},
+		status: func() string {
 			m := station.Metrics()
-			logger.Infof("metrics: conns=%d msgs=%d rm=%d bytes=%d decode_errs=%d | %s",
-				m.Conns, m.Messages, m.RouteMonitoring, m.Bytes, m.DecodeErrors, fleet.Status())
-		}
+			return fmt.Sprintf("conns=%d msgs=%d rm=%d bytes=%d decode_errs=%d | ",
+				m.Conns, m.Messages, m.RouteMonitoring, m.Bytes, m.DecodeErrors)
+		},
 	}
 }
 
-// runBGP is the original single-session eBGP deployment, instrumented
-// under the fixed peer label "primary" (the session is established
-// after the engine exists, so the label cannot carry the peer AS).
-func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32, settle time.Duration, alternates []mrt.RIBRecord, altAS uint32, sigs <-chan os.Signal) {
+// establish opens the eBGP session, accepting one passive connection or
+// dialing the peer. A signal before the session is established aborts
+// the wait; establish returns nil then.
+func (d *daemon) establish(listen, dial string, cfg bgpd.Config, sigs <-chan os.Signal) *bgpd.Session {
 	logger := d.logger
-	const peerLabel = "primary"
-	ft := controller.NewFleetTelemetry(d.registry, d.ring)
-
-	// The Observer hooks are the daemon's reporting surface; Logf stays
-	// unset so nothing is printed twice.
-	cfg := swiftengine.Config{
-		LocalAS:         localAS,
-		PrimaryNeighbor: primaryAS,
-	}
-	cfg.Metrics = ft.EngineMetricsFor(peerLabel)
-	cfg.Observer = swiftengine.TraceObserver(d.ring, peerLabel).
-		Then(swiftengine.LoggingObserver(logger.Infof))
-	cfg.Inference = inference.Default()
-	engine := swiftengine.New(cfg)
-	ctrl := controller.New(engine, logger.Infof)
-
-	if len(alternates) > 0 {
-		var updates []*bgp.Update
-		for _, rec := range alternates {
-			for _, e := range rec.Entries {
-				updates = append(updates, &bgp.Update{
-					Attrs: e.Attrs,
-					NLRI:  []netaddr.Prefix{rec.Prefix},
-				})
-			}
-		}
-		ctrl.LoadAlternate(altAS, updates)
-		logger.Infof("loaded %d alternate routes", len(updates))
-	}
-
-	var sess *bgpd.Session
-	var err error
-	bcfg := bgpd.Config{
-		LocalAS:  localAS,
-		RouterID: routerID,
-		Logf:     logger.Debugf,
-	}
 	if listen != "" {
-		l, lerr := net.Listen("tcp", listen)
-		if lerr != nil {
-			logger.Fatalf("%v", lerr)
+		l, err := net.Listen("tcp", listen)
+		if err != nil {
+			logger.Fatalf("%v", err)
 		}
 		logger.Infof("listening on %s", listen)
 		// The watcher owns the decision of whether a signal interrupted
@@ -398,123 +378,121 @@ func (d *daemon) runBGP(listen, dial string, localAS, routerID, primaryAS uint32
 		established := make(chan struct{})
 		tookSignal := make(chan bool, 1)
 		go func() {
-			select {
-			case sig := <-sigs:
-				logger.Infof("%v: aborting before session establishment", sig)
-				l.Close()
-				tookSignal <- true
-			case <-established:
-				tookSignal <- false
+			for {
+				select {
+				case sig := <-sigs:
+					if d.checkpointOn(sig) {
+						continue
+					}
+					logger.Infof("%v: aborting before session establishment", sig)
+					l.Close()
+					tookSignal <- true
+				case <-established:
+					tookSignal <- false
+				}
+				return
 			}
 		}()
-		sess, err = bgpd.Accept(l, bcfg)
+		sess, err := bgpd.Accept(l, cfg)
 		close(established)
 		if <-tookSignal {
 			if err == nil {
 				sess.Close()
 			}
-			return
+			return nil
 		}
 		if err != nil {
 			logger.Fatalf("%v", err)
 		}
-	} else {
-		logger.Infof("dialing %s", dial)
-		// Dial on a goroutine so a signal can interrupt the connect /
-		// handshake instead of queuing behind it.
-		type dialResult struct {
-			sess *bgpd.Session
-			err  error
-		}
-		dialed := make(chan dialResult, 1)
-		go func() {
-			s, derr := bgpd.Dial(dial, bcfg)
-			dialed <- dialResult{s, derr}
-		}()
+		return sess
+	}
+	logger.Infof("dialing %s", dial)
+	// Dial on a goroutine so a signal can interrupt the connect /
+	// handshake instead of queuing behind it.
+	type dialResult struct {
+		sess *bgpd.Session
+		err  error
+	}
+	dialed := make(chan dialResult, 1)
+	go func() {
+		s, err := bgpd.Dial(dial, cfg)
+		dialed <- dialResult{s, err}
+	}()
+	for {
 		select {
 		case sig := <-sigs:
+			if d.checkpointOn(sig) {
+				continue
+			}
 			logger.Infof("%v: aborting dial", sig)
-			return
+			return nil
 		case r := <-dialed:
 			if r.err != nil {
 				logger.Fatalf("%v", r.err)
 			}
-			sess = r.sess
+			return r.sess
 		}
 	}
-	if primaryAS != 0 && sess.PeerAS() != primaryAS {
-		logger.Fatalf("peer AS %d, expected %d", sess.PeerAS(), primaryAS)
-	}
-	logger.Infof("session established with AS%d", sess.PeerAS())
+}
 
-	peerAS := sess.PeerAS()
-	controller.RegisterControllerMetrics(d.registry, ctrl, peerLabel, peerAS)
-	d.serveOps(ops.Config{
-		PeerStatuses: func() []controller.PeerStatus {
-			return []controller.PeerStatus{ctrl.PeerStatus(peerLabel, peerAS)}
-		},
-	})
+// run serves the ingest into the fleet until a shutdown signal or until
+// the feed ends on its own, then drains: the feed stops, the final
+// snapshot is taken (with -snapshot-dir) and the fleet applies every
+// queued batch before the final status line.
+func (d *daemon) run(in ingest, sigs <-chan os.Signal) {
+	logger := d.logger
+	served := make(chan error, 1)
+	go func() { served <- in.serve() }()
 
-	// Table transfer: drain announcements until quiet for -settle.
-	var table []*bgp.Update
-	timer := time.NewTimer(settle)
-transfer:
+	metricsC, stopMetrics := d.metricsC()
+	defer stopMetrics()
+	var err error
+wait:
 	for {
 		select {
-		case u, ok := <-sess.Updates():
-			if !ok {
-				logger.Fatalf("session closed during table transfer")
-			}
-			table = append(table, u)
-			timer.Reset(settle)
-		case <-timer.C:
-			break transfer
 		case sig := <-sigs:
-			logger.Infof("%v: closing session during table transfer", sig)
-			sess.Close()
-			return
-		}
-	}
-	ctrl.LoadTable(table)
-	if err := ctrl.Provision(); err != nil {
-		logger.Fatalf("provisioning: %v", err)
-	}
-	logger.Infof("provisioned: %s", ctrl.Status())
-
-	ctrl.AttachPrimary(sess)
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	metricsC, stop := d.metricsC()
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		ctrl.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-ticker.C:
-			ctrl.Tick()
+			if d.checkpointOn(sig) {
+				continue
+			}
+			logger.Infof("%v: shutting down", sig)
+			in.stop()
+			err = <-served
+			break wait
+		case err = <-served:
+			in.stop()
+			break wait
 		case <-metricsC:
-			logger.Infof("status: %s", ctrl.Status())
-		case sig := <-sigs:
-			// Graceful shutdown: CEASE the session (instead of dying
-			// mid-write), let the reader drain, report, exit clean.
-			logger.Infof("%v: closing session", sig)
-			if err := sess.Close(); err != nil {
-				logger.Warnf("session close: %v", err)
+			status := ""
+			if in.status != nil {
+				status = in.status()
 			}
-			<-done
-			logger.Infof("final: %s", ctrl.Status())
-			return
-		case <-done:
-			logger.Infof("final: %s", ctrl.Status())
-			if err := sess.Err(); err != nil {
-				logger.Fatalf("%v", err)
-			}
-			return
+			logger.Infof("metrics: %s%s", status, d.fleet.Status())
 		}
 	}
+	if d.snapDir != "" {
+		// The feed has stopped, so this captures the fleet's final
+		// state; the next start restores it.
+		if err := d.checkpoint(); err != nil {
+			logger.Warnf("shutdown snapshot: %v", err)
+		} else {
+			logger.Infof("shutdown snapshot written to %s", d.snapPath)
+		}
+	}
+	d.fleet.Close()
+	logger.Infof("final: %s", d.fleet.Status())
+	if err != nil {
+		logger.Fatalf("%v", err)
+	}
+}
+
+// metricsC returns the periodic stats-log channel, nil (blocks forever
+// in select) when -metrics-interval is 0.
+func (d *daemon) metricsC() (<-chan time.Time, func()) {
+	if d.interval <= 0 {
+		return nil, func() {}
+	}
+	t := time.NewTicker(d.interval)
+	return t.C, t.Stop
 }
 
 func parseID(logger *logging.Logger, s string) uint32 {

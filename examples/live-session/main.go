@@ -1,10 +1,13 @@
 // Live-session example: the §7 deployment over a real TCP BGP session
 // on localhost. A "peer" speaker (playing AS 2's router) establishes a
-// session with the SWIFT controller, floods the initial table, then
-// replays the Fig. 1 burst on the wire as packed UPDATE messages. The
-// controller detects the burst, infers the failed link and programs the
-// data plane live; the engine's Observer hook pushes each decision to
-// the example the moment it happens — no polling.
+// session with the SWIFT controller, transfers its table, then replays
+// the Fig. 1 burst on the wire as packed UPDATE messages. The session's
+// Run streams it all into a one-peer engine fleet — exactly what
+// `swiftd -listen` does: the table provisions the peer's engine at
+// End-of-RIB, and the burst drives it live. The engine detects the
+// burst, infers the failed link and programs the data plane; the
+// fleet's Observer hook pushes each decision to the example the moment
+// it happens — no polling.
 //
 // Run: go run ./examples/live-session
 package main
@@ -18,7 +21,6 @@ import (
 	"swift/internal/bgp"
 	"swift/internal/bgpd"
 	"swift/internal/bgpsim"
-	"swift/internal/controller"
 	"swift/internal/netaddr"
 	"swift/internal/topology"
 )
@@ -28,44 +30,54 @@ func main() {
 	netw := bgpsim.Fig1Network(scale)
 	sols := netw.Solve(netw.Graph)
 
-	// SWIFT controller for AS 1. Decisions are pushed over a channel by
-	// the Observer hook instead of polled from the decision log.
-	decisions := make(chan swift.Decision, 16)
-	cfg := swift.Config{LocalAS: 1, PrimaryNeighbor: 2}
-	cfg.Inference = swift.DefaultInference()
-	cfg.Inference.TriggerEvery = 500
-	cfg.Inference.UseHistory = false
-	cfg.Encoding = swift.DefaultEncoding()
-	cfg.Encoding.MinPrefixes = 200
-	cfg.Burst = swift.BurstConfig{StartThreshold: 200, StopThreshold: 9}
-	cfg.Observer.OnDecision = func(d swift.Decision) { decisions <- d }
-	ctrl := controller.New(swift.New(cfg), func(f string, a ...any) {
-		fmt.Printf("  | "+f+"\n", a...)
+	// SWIFT controller for AS 1: a fleet whose engines take the
+	// session's peer AS as primary neighbor and preload the alternates
+	// (in a full deployment these come from the other peers' sessions).
+	// Provisions and decisions are pushed by the Observer hooks instead
+	// of polled.
+	provisioned := make(chan swift.ProvisionInfo, 1)
+	decisions := make(chan swift.Decision, 1)
+	fleet := swift.NewFleet(swift.FleetConfig{
+		Engine: func(key swift.PeerKey) swift.Config {
+			cfg := swift.Config{LocalAS: 1, PrimaryNeighbor: key.AS}
+			cfg.Inference = swift.DefaultInference()
+			cfg.Inference.TriggerEvery = 500
+			cfg.Inference.UseHistory = false
+			cfg.Encoding = swift.DefaultEncoding()
+			cfg.Encoding.MinPrefixes = 200
+			cfg.Burst = swift.BurstConfig{StartThreshold: 200, StopThreshold: 9}
+			return cfg
+		},
+		OnPeer: func(p *swift.FleetPeer) {
+			for origin, n := range netw.Origins {
+				for _, nb := range []uint32{3, 4} {
+					r, ok := sols[origin].ExportTo(netw.Graph, netw.Policy, nb, 1)
+					if !ok {
+						continue
+					}
+					for i := 0; i < n; i++ {
+						p.LearnAlternate(nb, netaddr.PrefixFor(origin, i), r.Path)
+					}
+				}
+			}
+		},
+		// The hooks run on the fleet's worker: hand off without blocking.
+		Observer: swift.FleetObserver{
+			OnProvision: func(_ swift.PeerKey, info swift.ProvisionInfo) {
+				select {
+				case provisioned <- info:
+				default:
+				}
+			},
+			OnDecision: func(_ swift.PeerKey, d swift.Decision) {
+				select {
+				case decisions <- d:
+				default:
+				}
+			},
+		},
 	})
-
-	// Preload the table and the alternates (in a full deployment these
-	// come from the other peers' sessions).
-	for origin := range netw.Origins {
-		for _, nb := range []uint32{2, 3, 4} {
-			r, ok := sols[origin].ExportTo(netw.Graph, netw.Policy, nb, 1)
-			if !ok {
-				continue
-			}
-			u := &bgp.Update{Attrs: bgp.Attrs{ASPath: r.Path, HasNextHop: true, NextHop: nb}}
-			for i := 0; i < netw.Origins[origin]; i++ {
-				u.NLRI = append(u.NLRI, netaddr.PrefixFor(origin, i))
-			}
-			if nb == 2 {
-				ctrl.LoadTable([]*bgp.Update{u})
-			} else {
-				ctrl.LoadAlternate(nb, []*bgp.Update{u})
-			}
-		}
-	}
-	if err := ctrl.Provision(); err != nil {
-		panic(err)
-	}
-	fmt.Println("controller provisioned:", ctrl.Status())
+	defer fleet.Close()
 
 	// Real TCP session on localhost.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,11 +98,36 @@ func main() {
 		panic(err)
 	}
 	peer := <-peerReady
-	defer local.Close()
-	defer peer.Close()
-	fmt.Printf("BGP session established over %s (peer AS%d)\n\n", l.Addr(), local.PeerAS())
+	fmt.Printf("BGP session established over %s (peer %s)\n", l.Addr(), local.Key())
+	ran := make(chan error, 1)
+	go func() { ran <- local.Run(fleet) }()
 
-	ctrl.AttachPrimary(local)
+	// AS 2's router transfers its table, closed by End-of-RIB.
+	for origin, n := range netw.Origins {
+		r, ok := sols[origin].ExportTo(netw.Graph, netw.Policy, 2, 1)
+		if !ok {
+			continue
+		}
+		for i := 0; i < n; i += 500 {
+			u := &bgp.Update{Attrs: bgp.Attrs{ASPath: r.Path, HasNextHop: true, NextHop: 2}}
+			for j := i; j < min(i+500, n); j++ {
+				u.NLRI = append(u.NLRI, netaddr.PrefixFor(origin, j))
+			}
+			if err := peer.Send(u); err != nil {
+				panic(err)
+			}
+		}
+	}
+	if err := peer.Send(&bgp.Update{}); err != nil {
+		panic(err)
+	}
+	select {
+	case info := <-provisioned:
+		fmt.Printf("controller provisioned: %d prefixes tagged, %d next-hops\n\n",
+			info.TaggedPrefixes, info.NextHops)
+	case <-time.After(10 * time.Second):
+		panic("table transfer never provisioned")
+	}
 
 	// AS 2's router replays the (5,6) failure burst on the wire.
 	b, err := netw.ReplayLinkFailure(1, 2, topology.MakeLink(5, 6), bgpsim.TestbedTiming(9))
@@ -125,8 +162,8 @@ func main() {
 	}
 	flush()
 
-	// The observer pushes the first inference as soon as the controller
-	// drains it off the socket.
+	// The observer pushes the first inference as soon as the fleet
+	// applies it off the socket.
 	fmt.Println()
 	select {
 	case d := <-decisions:
@@ -135,5 +172,12 @@ func main() {
 	case <-time.After(10 * time.Second):
 		fmt.Println("no inference within 10s")
 	}
-	fmt.Println("final:", ctrl.Status())
+
+	// The peer's CEASE ends Run; Close then drains the fleet.
+	peer.Close()
+	if err := <-ran; err != nil {
+		panic(err)
+	}
+	fleet.Close()
+	fmt.Println("final:", fleet.Status())
 }

@@ -3,7 +3,9 @@
 // hold timers, and full-duplex UPDATE exchange. It is the substrate for
 // the §7 case study, where a SWIFT controller maintains live eBGP
 // sessions with the peers of the router it protects (the role ExaBGP
-// plays in the paper's deployment).
+// plays in the paper's deployment). A Session is an event.Source: Run
+// feeds the peer's table transfer and live stream into an engine fleet
+// the same way a BMP station feeds a monitored peer.
 //
 // The FSM is the RFC 4271 one reduced to the transport this repository
 // uses (a connected net.Conn handed to the session, so Connect/Active
@@ -59,6 +61,10 @@ type Config struct {
 	// proposals wins. Zero selects the 90 s default. Values below 3 s
 	// (other than 0) are rejected by the wire encoder.
 	HoldTime time.Duration
+	// TableSettle is the quiet period after which Run provisions a peer
+	// whose table transfer never sent End-of-RIB (speakers predating
+	// RFC 4724 don't). Default 3 s.
+	TableSettle time.Duration
 	// Logf, when non-nil, receives one line per session event.
 	Logf func(format string, args ...any)
 }
@@ -70,9 +76,17 @@ func (c Config) holdTime() time.Duration {
 	return c.HoldTime
 }
 
+func (c Config) tableSettle() time.Duration {
+	if c.TableSettle <= 0 {
+		return 3 * time.Second
+	}
+	return c.TableSettle
+}
+
 // Session is an established BGP session. Updates received from the peer
-// are delivered on Updates(); Send transmits updates to the peer. Both
-// directions are safe for concurrent use.
+// are delivered on Updates(), or streamed into an event sink by Run;
+// Send transmits updates to the peer. Both directions are safe for
+// concurrent use.
 type Session struct {
 	conn    net.Conn
 	cfg     Config

@@ -10,6 +10,7 @@ import (
 	"swift/internal/bgp"
 	"swift/internal/bgpsim"
 	"swift/internal/controller"
+	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/mrt"
 	"swift/internal/netaddr"
@@ -137,7 +138,8 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 	epoch := time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 	ribMRT, updMRT := traceToMRT(t, ds, sess, bursts, epoch)
 
-	// Path 1: direct Observe* calls, exactly what the MRT bytes say.
+	// Path 1: direct Apply calls, one batch per UPDATE, exactly what
+	// the MRT bytes say.
 	direct := swiftengine.New(replayEngineConfig(sess.Vantage, sess.Neighbor))
 	r := mrt.NewReader(bytes.NewReader(ribMRT))
 	for {
@@ -176,14 +178,18 @@ func TestMRTReplayMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		at := m.Timestamp.Sub(epoch)
+		var b event.Batch
 		for _, p := range dec.Withdrawn {
-			direct.ObserveWithdraw(at, p)
+			b = append(b, event.Withdraw(at, p))
 		}
 		if len(dec.NLRI) > 0 {
 			path := append([]uint32(nil), dec.Attrs.ASPath...)
 			for _, p := range dec.NLRI {
-				direct.ObserveAnnounce(at, p, path)
+				b = append(b, event.Announce(at, p, path))
 			}
+		}
+		if err := direct.Apply(b); err != nil {
+			t.Fatal(err)
 		}
 	}
 

@@ -99,12 +99,25 @@ func materializeMRT(t *testing.T, ds *trace.Dataset, s trace.Session, bursts []*
 	return ribBuf.Bytes(), updBuf.Bytes()
 }
 
-// TestSourceMatchesLegacyShims is the redesign's semantic-equivalence
-// gate: replaying the same MRT archives through mrt.Source →
-// Engine.Apply and through the legacy per-message Observe* shims must
-// yield identical Decisions() — the event-stream API changes no paper
-// semantics.
-func TestSourceMatchesLegacyShims(t *testing.T) {
+// applyEach is the per-message reference delivery: every event goes
+// through Apply as its own one-event batch.
+func applyEach(t *testing.T, e *swiftengine.Engine, events ...event.Event) {
+	t.Helper()
+	var one [1]event.Event
+	for _, ev := range events {
+		one[0] = ev
+		if err := e.Apply(one[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSourceMatchesPerMessageReplay is the event stream's semantic-
+// equivalence gate: replaying the same MRT archives through mrt.Source
+// → Engine.Apply in batches and through a per-message walk (one-event
+// batches) must yield identical Decisions() — batched delivery changes
+// no paper semantics.
+func TestSourceMatchesPerMessageReplay(t *testing.T) {
 	ds := trace.Generate(trace.Config{
 		NumASes:           250,
 		AvgDegree:         7,
@@ -153,18 +166,18 @@ func TestSourceMatchesLegacyShims(t *testing.T) {
 		t.Fatalf("source replayed %d routes, %d events", src.Routes, src.Events)
 	}
 
-	// Path 2: the legacy per-message walk over the same bytes, through
-	// the deprecated Observe* shims.
-	legacy := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
+	// Path 2: a per-message walk over the same bytes, every prefix
+	// applied as its own one-event batch.
+	perMsg := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
 	if err := mrt.WalkRIBIPv4(bytes.NewReader(ribMRT), func(rr *mrt.RIBRecord) error {
 		for _, e := range rr.Entries {
-			legacy.LearnPrimary(rr.Prefix, e.Attrs.ASPath)
+			perMsg.LearnPrimary(rr.Prefix, e.Attrs.ASPath)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Provision(); err != nil {
+	if err := perMsg.Provision(); err != nil {
 		t.Fatal(err)
 	}
 	r := mrt.NewReader(bytes.NewReader(updMRT))
@@ -190,24 +203,24 @@ func TestSourceMatchesLegacyShims(t *testing.T) {
 		}
 		at := m.Timestamp.Sub(msgEpoch)
 		for _, p := range dec.Withdrawn {
-			legacy.ObserveWithdraw(at, p)
+			applyEach(t, perMsg, event.Withdraw(at, p))
 		}
 		if len(dec.NLRI) > 0 {
 			path := append([]uint32(nil), dec.Attrs.ASPath...)
 			for _, p := range dec.NLRI {
-				legacy.ObserveAnnounce(at, p, path)
+				applyEach(t, perMsg, event.Announce(at, p, path))
 			}
 		}
 		lastAt = at
 	}
-	legacy.Tick(lastAt + finalTick)
+	applyEach(t, perMsg, event.Tick(lastAt+finalTick))
 
-	got, want := viaSource.Decisions(), legacy.Decisions()
+	got, want := viaSource.Decisions(), perMsg.Decisions()
 	if len(want) == 0 {
-		t.Fatalf("legacy path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
+		t.Fatalf("per-message path made no decisions (burst sizes %d); test is vacuous", bursts[0].Size)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("source path made %d decisions, legacy path %d", len(got), len(want))
+		t.Fatalf("source path made %d decisions, per-message path %d", len(got), len(want))
 	}
 	for i := range want {
 		g, w := got[i], want[i]

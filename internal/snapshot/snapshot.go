@@ -24,6 +24,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"swift/internal/burst"
@@ -133,8 +134,8 @@ func Read(r io.Reader) (*FleetImage, error) {
 		if n > 1<<34 {
 			return nil, fmt.Errorf("snapshot: section %d length %d implausible", kind, n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(cr, payload); err != nil {
+		payload, err := readPayload(cr, n)
+		if err != nil {
 			return nil, fmt.Errorf("snapshot: section %d payload: %w", kind, err)
 		}
 		d := &dec{b: payload}
@@ -171,6 +172,31 @@ func Read(r io.Reader) (*FleetImage, error) {
 		return nil, fmt.Errorf("snapshot: no pool section")
 	}
 	return img, nil
+}
+
+// maxPrealloc caps what readPayload allocates before any payload byte
+// has arrived. It sits above the largest section a full-table fleet
+// writes (tens of MB), so real snapshots still read in one allocation.
+const maxPrealloc = 64 << 20
+
+// readPayload reads an n-byte section payload. The declared length is
+// untrusted until the bytes arrive: past maxPrealloc the buffer grows
+// only as data is read (at most doubling), so a corrupt or truncated
+// file costs an error, never an allocation of its claimed size.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, min(n, maxPrealloc))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for uint64(len(buf)) < n {
+		k := int(min(n-uint64(len(buf)), uint64(len(buf))))
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
 }
 
 func keyLess(a, b event.PeerKey) bool {

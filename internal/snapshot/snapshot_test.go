@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,5 +142,30 @@ func TestWireStructuralErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestReadBoundsSectionAllocation feeds Read a 24-byte file — magic,
+// version and a pool section header declaring 2^33 payload bytes that
+// never arrive. Read must report the truncation without first
+// allocating the declared length.
+func TestReadBoundsSectionAllocation(t *testing.T) {
+	var e enc
+	e.u32(Version)
+	e.u32(secPool)
+	e.u64(1 << 33)
+	in := append([]byte(magic), e.take()...)
+	if len(in) != 24 {
+		t.Fatalf("fixture is %d bytes, want 24", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Fatalf("Read = %v, want a section payload error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPrealloc {
+		t.Errorf("Read allocated %d bytes for a 24-byte file", got)
 	}
 }

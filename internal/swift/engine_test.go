@@ -6,6 +6,7 @@ import (
 
 	"swift/internal/bgpsim"
 	"swift/internal/burst"
+	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/netaddr"
 	"swift/internal/topology"
@@ -55,15 +56,40 @@ func fig1Engine(t *testing.T, scale int, useHistory bool) (*Engine, *bgpsim.Netw
 	return e, net
 }
 
-func playBurst(e *Engine, b *bgpsim.Burst) {
-	for _, ev := range b.Events {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
+// applyEach is the per-message reference delivery: every event goes
+// through Apply as its own one-event batch, as a feed that hands over
+// one message at a time would deliver it. Batched delivery must decide
+// exactly as it does.
+func applyEach(t testing.TB, e *Engine, events ...event.Event) {
+	t.Helper()
+	var one [1]event.Event
+	for _, ev := range events {
+		one[0] = ev
+		if err := e.Apply(one[:]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	e.Tick(b.Duration() + time.Minute)
+}
+
+// burstEvents converts a simulated burst's messages into stream events.
+func burstEvents(events []bgpsim.Event) event.Batch {
+	b := make(event.Batch, 0, len(events))
+	for _, ev := range events {
+		if ev.Kind == bgpsim.KindWithdraw {
+			b = append(b, event.Withdraw(ev.At, ev.Prefix))
+		} else {
+			b = append(b, event.Announce(ev.At, ev.Prefix, ev.Path))
+		}
+	}
+	return b
+}
+
+// playBurst replays a whole burst message by message, then ticks past
+// its end so the detector closes it.
+func playBurst(t testing.TB, e *Engine, b *bgpsim.Burst) {
+	t.Helper()
+	applyEach(t, e, burstEvents(b.Events)...)
+	applyEach(t, e, event.Tick(b.Duration()+time.Minute))
 }
 
 func TestEngineEndToEndFig1(t *testing.T) {
@@ -78,7 +104,7 @@ func TestEngineEndToEndFig1(t *testing.T) {
 		t.Fatalf("pre-failure forward = %d, %v; want 2", nh, ok)
 	}
 
-	playBurst(e, b)
+	playBurst(t, e, b)
 
 	if len(e.Decisions()) == 0 {
 		t.Fatal("no inference decision on an 1100-withdrawal burst")
@@ -130,13 +156,7 @@ func TestEngineReroutesDuringBurst(t *testing.T) {
 	// the failed link — early triggers blame the adjacent, S8-heavy
 	// (6,8) first, as in §6.2.2), then inspect the FIB mid-flight.
 	cut := len(b.Events) * 95 / 100
-	for _, ev := range b.Events[:cut] {
-		if ev.Kind == bgpsim.KindWithdraw {
-			e.ObserveWithdraw(ev.At, ev.Prefix)
-		} else {
-			e.ObserveAnnounce(ev.At, ev.Prefix, ev.Path)
-		}
-	}
+	applyEach(t, e, burstEvents(b.Events[:cut])...)
 	if !e.RerouteActive() {
 		t.Fatal("reroute should be active mid-burst")
 	}
@@ -170,7 +190,7 @@ func TestEngineLearningTimeAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	if len(e.Decisions()) == 0 {
 		t.Fatal("no decisions")
 	}
@@ -199,7 +219,7 @@ func TestEngineHistoryGateDefersEarlyLargePredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	if e.Deferred() == 0 {
 		t.Error("expected deferred inferences under the strict gate")
 	}
@@ -212,7 +232,7 @@ func TestEngineNoiseDoesNotTrigger(t *testing.T) {
 	e, _ := fig1Engine(t, 1000, false)
 	// Sparse background withdrawals (1 per minute) must never trigger.
 	for i := 0; i < 50; i++ {
-		e.ObserveWithdraw(time.Duration(i)*time.Minute, netaddr.PrefixFor(8, i))
+		applyEach(t, e, event.Withdraw(time.Duration(i)*time.Minute, netaddr.PrefixFor(8, i)))
 	}
 	if len(e.Decisions()) != 0 || e.RerouteActive() {
 		t.Error("background noise caused a reroute")
@@ -229,7 +249,7 @@ func TestEngineFallbackRestoresPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	// S7 converged onto the new path via 2; after fallback the FIB must
 	// follow BGP again (rules at reroute priority are gone).
 	if e.FIB().NumRules() == 0 {

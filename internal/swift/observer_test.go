@@ -57,7 +57,7 @@ func TestObserverBurstLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 
 	if len(starts) != 1 {
 		t.Fatalf("burst starts observed = %d, want 1", len(starts))
@@ -111,7 +111,7 @@ func TestDecisionsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	playBurst(e, b)
+	playBurst(t, e, b)
 	first := e.Decisions()
 	if len(first) == 0 {
 		t.Fatal("no decisions")
@@ -171,10 +171,10 @@ func TestConfigPerFieldInferenceDefaults(t *testing.T) {
 	}
 }
 
-// TestApplyMatchesShims replays the same stream once as event batches
-// through Apply and once through the deprecated per-call shims: the
-// decisions must be identical — batching changes no paper semantics.
-func TestApplyMatchesShims(t *testing.T) {
+// TestApplyMatchesPerEvent replays the same stream once as one event
+// batch and once message by message (one-event batches): the decisions
+// must be identical — batching changes no paper semantics.
+func TestApplyMatchesPerEvent(t *testing.T) {
 	mk := func() (*Engine, *bgpsim.Network) { return fig1Engine(t, 1000, false) }
 	batched, net := mk()
 	perCall, _ := mk()
@@ -184,19 +184,11 @@ func TestApplyMatchesShims(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var batch event.Batch
-	for _, ev := range b.Events {
-		if ev.Kind == bgpsim.KindWithdraw {
-			batch = append(batch, event.Withdraw(ev.At, ev.Prefix))
-		} else {
-			batch = append(batch, event.Announce(ev.At, ev.Prefix, ev.Path))
-		}
-	}
-	batch = append(batch, event.Tick(b.Duration()+time.Minute))
+	batch := append(burstEvents(b.Events), event.Tick(b.Duration()+time.Minute))
 	if err := batched.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	playBurst(perCall, b) // Observe* shims + Tick
+	playBurst(t, perCall, b)
 
 	dg, dw := batched.Decisions(), perCall.Decisions()
 	if len(dg) == 0 || len(dg) != len(dw) {
