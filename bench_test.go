@@ -6,7 +6,7 @@ package swift_test
 //	go test -bench=. -benchmem
 //
 // Each benchmark prints the paper-formatted rows once (via b.Logf on
-// -v, and always through the recorded metrics). cmd/swift-bench runs
+// -v, and always through the recorded metrics). swift-eval -exp runs
 // the same experiments at full paper scale with textual output.
 
 import (
@@ -19,7 +19,7 @@ import (
 )
 
 // benchDataset is shared across benchmarks: a mid-scale synthetic
-// capture (the full 213-session month is cmd/swift-bench territory).
+// capture (the full 213-session month is swift-eval -exp territory).
 var (
 	benchOnce sync.Once
 	benchDS   *trace.Dataset
@@ -189,7 +189,7 @@ func BenchmarkRules65(b *testing.B) {
 }
 
 // BenchmarkFig9CaseStudy regenerates the §7 case study at a laptop
-// scale (50k; cmd/swift-bench runs the full 290k).
+// scale (50k; swift-eval -exp fig9 runs the full 290k).
 func BenchmarkFig9CaseStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig9(50000, 3)

@@ -24,8 +24,8 @@
 //
 // bmpgen exercises the wire side of the event pipeline: the station it
 // dials demuxes this stream into peer-attributed event batches for its
-// sink (an engine fleet, or a single engine behind a SessionSink). For
-// an in-process replay without the BMP framing, use mrt.Source.
+// engine fleet. For an in-process replay without the BMP framing, use
+// mrt.Source.
 package main
 
 import (

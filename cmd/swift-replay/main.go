@@ -4,8 +4,8 @@
 // It reports every burst the engine detects and every inference and
 // reroute it performs, making it the offline analysis twin of swiftd.
 //
-// The replay is one mrt.Source feeding one engine through the shared
-// event-stream pipeline: the RIB snapshot loads through the sink's
+// The replay is one mrt.Source feeding a one-peer Fleet, the same sink
+// swiftd runs: the RIB snapshot loads through the fleet's
 // table-transfer surface, the update records stream as timestamped
 // event batches, and the engine's Observer hooks report bursts and
 // reroutes as they happen.
@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"swift/internal/controller"
 	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/mrt"
@@ -55,16 +56,21 @@ func main() {
 
 	// The Observer hooks are the replay's live reporting surface; Logf
 	// stays unset so nothing is printed twice.
-	cfg := swiftengine.Config{
-		LocalAS:         uint32(*localAS),
-		PrimaryNeighbor: uint32(*peerAS),
-	}
-	cfg.Observer = swiftengine.LoggingObserver(logger.Infof)
-	cfg.Inference = inference.Default()
-	cfg.Inference.TriggerEvery = *trigger
-	cfg.Inference.UseHistory = *history
-	cfg.Burst.StartThreshold = *start
-	engine := swiftengine.New(cfg)
+	fleet := controller.NewFleet(controller.FleetConfig{
+		Engine: func(event.PeerKey) swiftengine.Config {
+			cfg := swiftengine.Config{
+				LocalAS:         uint32(*localAS),
+				PrimaryNeighbor: uint32(*peerAS),
+			}
+			cfg.Observer = swiftengine.LoggingObserver(logger.Infof)
+			cfg.Inference = inference.Default()
+			cfg.Inference.TriggerEvery = *trigger
+			cfg.Inference.UseHistory = *history
+			cfg.Burst.StartThreshold = *start
+			return cfg
+		},
+		Workers: 1,
+	})
 
 	rib, err := os.Open(*ribPath)
 	if err != nil {
@@ -77,20 +83,25 @@ func main() {
 	}
 	defer upd.Close()
 
+	key := event.PeerKey{AS: uint32(*peerAS), BGPID: uint32(*peerAS)}
 	src := &mrt.Source{
 		RIB:       rib,
 		Updates:   upd,
-		Peer:      event.PeerKey{AS: uint32(*peerAS), BGPID: uint32(*peerAS)},
+		Peer:      key,
 		FinalTick: time.Hour, // close any open burst
 	}
-	if err := src.Run(swiftengine.NewSessionSink(engine)); err != nil {
+	if err := src.Run(fleet); err != nil {
 		logger.Fatalf("replay: %v", err)
 	}
+	fleet.Close() // drains every queued batch; the engine stays readable
 
 	fmt.Printf("\nreplayed %d per-prefix events over %d RIB routes\n", src.Events, src.Routes)
-	decisions := engine.Decisions()
-	fmt.Printf("decisions: %d accepted, %d deferred by the gate\n",
-		len(decisions), engine.Deferred())
+	var decisions []swiftengine.Decision
+	var deferred int
+	fleet.Peer(key).Do(func(e *swiftengine.Engine) {
+		decisions, deferred = e.Decisions(), e.Deferred()
+	})
+	fmt.Printf("decisions: %d accepted, %d deferred by the gate\n", len(decisions), deferred)
 	for i, d := range decisions {
 		fmt.Printf("  #%d at %v: links %v (received %d, predicted %d, %d rules, %v)\n",
 			i+1, d.At.Round(time.Millisecond), d.Result.Links, d.Result.Received,

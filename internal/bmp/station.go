@@ -16,10 +16,9 @@ import (
 // StationConfig parameterizes a Station.
 type StationConfig struct {
 	// Sink receives the demuxed per-peer event stream. Required. A
-	// controller.Fleet routes each peer to its own engine; a
-	// swift.SessionSink funnels everything into one. If the sink also
-	// implements event.Provisioner, each peer's in-band table dump is
-	// loaded through it and the peer is provisioned at End-of-RIB;
+	// controller.Fleet routes each peer to its own engine. If the sink
+	// also implements event.Provisioner, each peer's in-band table dump
+	// is loaded through it and the peer is provisioned at End-of-RIB;
 	// otherwise peers are assumed provisioned out-of-band and go
 	// straight to live streaming.
 	Sink event.Sink
@@ -27,11 +26,6 @@ type StationConfig struct {
 	// for End-of-RIB is provisioned anyway (routers predating RFC 4724
 	// never send the marker). Default 3 s.
 	TableSettle time.Duration
-	// BatchEvents caps how many events accumulate per peer before a
-	// batch is handed to the sink (default 512). Batches also flush
-	// whenever the connection's read buffer drains, so latency stays at
-	// one syscall under light load.
-	BatchEvents int
 	// Logf, when set, receives one line per station event.
 	Logf func(format string, args ...any)
 }
@@ -43,12 +37,10 @@ func (c StationConfig) tableSettle() time.Duration {
 	return c.TableSettle
 }
 
-func (c StationConfig) batchEvents() int {
-	if c.BatchEvents <= 0 {
-		return 512
-	}
-	return c.BatchEvents
-}
+// batchEvents caps how many events accumulate per peer before a batch
+// is handed to the sink. Batches also flush whenever the connection's
+// read buffer drains, so latency stays at one syscall under light load.
+const batchEvents = 512
 
 // StationMetrics is a snapshot of a station's ingestion counters.
 type StationMetrics struct {
@@ -442,7 +434,7 @@ func (c *connState) handleRouteMonitoring(body []byte) error {
 		}
 	}
 	ps.lastAt = at
-	if len(ps.pending) >= c.st.cfg.batchEvents() {
+	if len(ps.pending) >= batchEvents {
 		c.flushLocked(ps)
 	}
 	return nil

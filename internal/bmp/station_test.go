@@ -192,6 +192,9 @@ func TestStationMultiPeerBurst(t *testing.T) {
 		if !ok {
 			t.Fatalf("peer %s missing from fleet", key)
 		}
+		if !h.Provisioned() {
+			t.Fatalf("peer %s not provisioned from its in-band table dump", key)
+		}
 		ds := h.Decisions()
 		if len(ds) == 0 {
 			t.Fatalf("peer %s made no decisions", key)

@@ -154,11 +154,13 @@ type Fleet struct {
 
 	// Evidence fusion (nil when FleetConfig.Fusion is unset). fuseKick
 	// nudges the background pump after evidence changes; fuseStop ends
-	// it on Close.
+	// it on Close. pumpMu serializes FusePump calls so fan-outs land in
+	// snapshot order.
 	fusion   *fusion.Aggregator
 	fuseKick chan struct{}
 	fuseStop chan struct{}
 	fuseWG   sync.WaitGroup
+	pumpMu   sync.Mutex
 
 	// Push-fed aggregates, maintained by the per-engine observers so
 	// Metrics never has to lock every engine and walk its decision log.

@@ -49,10 +49,17 @@ func (f *Fleet) fusePumpLoop() {
 // The background pump calls this on evidence changes; harnesses running
 // under ManualPump (the scenario engine) call it at their own
 // synchronization barriers for deterministic fan-out.
+//
+// Pumps are serialized, snapshot through fan-out, so a pump never
+// overwrites a newer verdict with the older one it snapshotted (a
+// stale "no verdict" clearing a peer after a later pump applied one).
+// The pump lock is taken before any peer lock and never under one.
 func (f *Fleet) FusePump(now time.Duration) {
 	if f.fusion == nil {
 		return
 	}
+	f.pumpMu.Lock()
+	defer f.pumpMu.Unlock()
 	v, ok := f.fusion.Snapshot(now)
 	for _, p := range f.Peers() {
 		p.mu.Lock()

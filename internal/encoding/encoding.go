@@ -343,12 +343,6 @@ func (s *Scheme) TagFor(p netaddr.Prefix) (Tag, bool) {
 // forwarding-table stage). The map is owned by the scheme.
 func (s *Scheme) Tags() map[netaddr.Prefix]Tag { return s.tags }
 
-// NextHopID returns the dictionary value of a next-hop AS.
-func (s *Scheme) NextHopID(as uint32) (uint64, bool) {
-	id, ok := s.nhIDs[as]
-	return id, ok
-}
-
 // LinkEncoded reports whether link l has a dictionary slot at depth d.
 func (s *Scheme) LinkEncoded(l topology.Link, d int) bool {
 	if d < 2 || d > s.cfg.MaxDepth {

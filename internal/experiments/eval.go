@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the SWIFT
-// paper's evaluation (§2, §6, §7). Each experiment returns a structured
-// result plus a text rendering shaped like the paper's presentation, so
-// the bench harness and cmd/swift-bench print comparable rows.
+// paper's evaluation (§2, §6, §7) and runs the packet-level scenario
+// matrix (RunScenarioMatrixMode, CompareScenarioModes). Each experiment
+// returns a structured result plus a text rendering shaped like the
+// paper's presentation, so the bench harness and cmd/swift-eval print
+// comparable rows.
 package experiments
 
 import (
@@ -19,16 +21,6 @@ import (
 	"swift/internal/topology"
 	"swift/internal/trace"
 )
-
-// RunScenarioMatrix evaluates a named failure-scenario matrix (see
-// internal/scenario) — the packet-level complement of the paper-figure
-// experiments below: instead of decision metrics it scores, per
-// scenario and per session, the packets a SWIFTED router loses against
-// a vanilla router on the same stream. Deterministic: same name and
-// seed, byte-identical report.
-func RunScenarioMatrix(name string, seed int64) (*scenario.MatrixReport, error) {
-	return scenario.Run(name, seed)
-}
 
 // RenderScenarioMatrix renders a matrix report as the experiment
 // tables do: one row per scenario plus the aggregate footer.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"swift/internal/bgpsim"
+	"swift/internal/scenario"
 	"swift/internal/trace"
 )
 
@@ -306,7 +307,7 @@ func TestSafetyShape(t *testing.T) {
 }
 
 func TestScenarioMatrixRunner(t *testing.T) {
-	rep, err := RunScenarioMatrix("smoke", 1)
+	rep, err := RunScenarioMatrixMode("smoke", 1, scenario.ModePerPeer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestScenarioMatrixRunner(t *testing.T) {
 			t.Errorf("rendering lacks scenario %q", r.Name)
 		}
 	}
-	if _, err := RunScenarioMatrix("no-such-matrix", 1); err == nil {
+	if _, err := RunScenarioMatrixMode("no-such-matrix", 1, scenario.ModePerPeer); err == nil {
 		t.Error("unknown matrix did not error")
 	}
 }

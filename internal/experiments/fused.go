@@ -25,17 +25,6 @@ func RunScenarioMatrixMode(name string, seed int64, mode string) (*scenario.Matr
 		mode, scenario.ModePerPeer, scenario.ModeFused)
 }
 
-// RunScenarioMatrixModeTimed is RunScenarioMatrixMode plus the
-// evaluation wall clock. The elapsed time is returned out-of-band
-// (never folded into the report), so the JSON stays byte-deterministic
-// while callers — swift-eval prints it to stderr — can track how fast
-// the batched forwarding path chews through a matrix.
-func RunScenarioMatrixModeTimed(name string, seed int64, mode string) (*scenario.MatrixReport, time.Duration, error) {
-	start := time.Now()
-	rep, err := RunScenarioMatrixMode(name, seed, mode)
-	return rep, time.Since(start), err
-}
-
 // ModeAggregate folds one mode's per-session rows of a scenario family
 // into comparable totals. MeanRestore averages the sessions'
 // time-to-restore (sessions that never lost a packet contribute zero,

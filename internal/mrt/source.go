@@ -13,10 +13,10 @@ import (
 // Source replays MRT collector archives as the shared event stream —
 // the artifact pair RouteViews publishes (a TABLE_DUMP_V2 RIB snapshot
 // plus a BGP4MP update file) becomes an event.Source that feeds any
-// sink: one Engine (via swift.SessionSink) or a whole Fleet,
-// unchanged. The optional RIB snapshot is loaded through the sink's
-// event.Provisioner surface before streaming, mirroring the in-band
-// table dump a live BMP feed carries.
+// sink: a Fleet (one peer or many) or a bare Engine, unchanged. The
+// optional RIB snapshot is loaded through the sink's event.Provisioner
+// surface before streaming, mirroring the in-band table dump a live BMP
+// feed carries.
 type Source struct {
 	// Updates is the BGP4MP update stream. Required.
 	Updates io.Reader
@@ -32,9 +32,6 @@ type Source struct {
 	// Epoch anchors the stream clock; events carry At = ts - Epoch.
 	// Zero selects the first update record's timestamp.
 	Epoch time.Time
-	// BatchEvents caps how many events one batch carries (default 512).
-	// Batches never split one UPDATE's events across deliveries.
-	BatchEvents int
 	// FinalTick, when positive, emits one closing tick this far past
 	// the last event, so the sink's burst detectors close any burst
 	// still open at end of archive.
@@ -49,12 +46,9 @@ type Source struct {
 
 var _ event.Source = (*Source)(nil)
 
-func (s *Source) batchEvents() int {
-	if s.BatchEvents <= 0 {
-		return 512
-	}
-	return s.BatchEvents
-}
+// batchEvents caps how many events one batch carries. Batches never
+// split one UPDATE's events across deliveries.
+const batchEvents = 512
 
 // Run loads the snapshot (when configured), then pushes the update
 // stream into sink as timestamped event batches until the archive is
@@ -73,7 +67,7 @@ func (s *Source) Run(sink event.Sink) error {
 	r := NewReader(s.Updates)
 	var dec bgp.UpdateDecoder
 	epoch := s.Epoch
-	batch := make(event.Batch, 0, s.batchEvents())
+	batch := make(event.Batch, 0, batchEvents)
 	lastAt := time.Duration(-1)
 	// Peers seen, in first-seen order, so a FinalTick closes every
 	// peer's bursts — not just the last record's.
@@ -125,7 +119,7 @@ func (s *Source) Run(sink event.Sink) error {
 			seen[key] = struct{}{}
 			order = append(order, key)
 		}
-		if len(batch) >= s.batchEvents() {
+		if len(batch) >= batchEvents {
 			if err := flush(); err != nil {
 				return err
 			}

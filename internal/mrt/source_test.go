@@ -8,6 +8,7 @@ import (
 
 	"swift/internal/bgp"
 	"swift/internal/bgpsim"
+	"swift/internal/controller"
 	"swift/internal/event"
 	"swift/internal/inference"
 	"swift/internal/mrt"
@@ -149,21 +150,32 @@ func TestSourceMatchesPerMessageReplay(t *testing.T) {
 	ribMRT, updMRT := materializeMRT(t, ds, sess, bursts, epoch)
 	const finalTick = time.Hour
 
-	// Path 1: mrt.Source feeding Engine.Apply through a SessionSink
-	// (RIB loads via the Provisioner surface, updates stream as
-	// batches).
-	viaSource := swiftengine.New(sourceEngineConfig(sess.Vantage, sess.Neighbor))
+	// Path 1: mrt.Source feeding a one-peer Fleet (RIB loads via the
+	// Provisioner surface, updates stream as batches).
+	fleet := controller.NewFleet(controller.FleetConfig{
+		Engine: func(event.PeerKey) swiftengine.Config {
+			return sourceEngineConfig(sess.Vantage, sess.Neighbor)
+		},
+		Workers: 1,
+	})
+	defer fleet.Close()
+	key := event.PeerKey{AS: sess.Neighbor, BGPID: sess.Neighbor}
 	src := &mrt.Source{
 		RIB:       bytes.NewReader(ribMRT),
 		Updates:   bytes.NewReader(updMRT),
-		Peer:      event.PeerKey{AS: sess.Neighbor, BGPID: sess.Neighbor},
+		Peer:      key,
 		FinalTick: finalTick,
 	}
-	if err := src.Run(swiftengine.NewSessionSink(viaSource)); err != nil {
+	if err := src.Run(fleet); err != nil {
 		t.Fatal(err)
 	}
 	if src.Routes == 0 || src.Events == 0 {
 		t.Fatalf("source replayed %d routes, %d events", src.Routes, src.Events)
+	}
+	fleet.Sync()
+	viaSource, ok := fleet.Lookup(key)
+	if !ok {
+		t.Fatal("source created no fleet peer")
 	}
 
 	// Path 2: a per-message walk over the same bytes, every prefix

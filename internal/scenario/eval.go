@@ -553,31 +553,16 @@ func (pe *peerState) report() PeerReport {
 	return r
 }
 
-// Run builds and evaluates every scenario of the named matrix,
+// RunMode builds and evaluates every scenario of the named matrix,
 // fanning scenarios out over the available cores; the report order is
 // the matrix order, so the output is deterministic regardless of
-// parallelism.
-func Run(matrix string, seed int64) (*MatrixReport, error) {
-	return RunMode(matrix, seed, false)
-}
-
-// RunMode is Run with the evaluation mode explicit: fused enables
-// fleet-level evidence fusion (EvalFused) on every scenario.
+// parallelism. fused enables fleet-level evidence fusion (EvalFused)
+// on every scenario.
 func RunMode(matrix string, seed int64, fused bool) (*MatrixReport, error) {
 	specs, err := Matrix(matrix, seed)
 	if err != nil {
 		return nil, err
 	}
-	return RunSpecsMode(matrix, seed, specs, fused)
-}
-
-// RunSpecs evaluates an explicit scenario list in per-peer mode.
-func RunSpecs(matrix string, seed int64, specs []Spec) (*MatrixReport, error) {
-	return RunSpecsMode(matrix, seed, specs, false)
-}
-
-// RunSpecsMode evaluates an explicit scenario list in either mode.
-func RunSpecsMode(matrix string, seed int64, specs []Spec, fused bool) (*MatrixReport, error) {
 	mode := ModePerPeer
 	if fused {
 		mode = ModeFused

@@ -21,16 +21,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return percentileSorted(s, p)
 }
 
-// PercentileSorted is Percentile for inputs already in ascending order,
-// avoiding the copy and sort. It is what the hot burst-detection path
-// uses against its history window.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return percentileSorted(sorted, p)
-}
-
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]

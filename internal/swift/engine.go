@@ -401,9 +401,8 @@ func (e *Engine) RerouteActive() bool { return e.rerouteActive }
 //
 // The returned error reports burst-end re-provision failures; the
 // stream itself is always fully consumed. Engines are single-session
-// state machines: Apply must not be called concurrently (wrap the
-// engine in a SessionSink, or front it with a Fleet, for concurrent
-// feeds).
+// state machines: Apply must not be called concurrently (front the
+// engine with a Fleet for concurrent feeds).
 func (e *Engine) Apply(b event.Batch) error {
 	var errs []error
 	var wd, ann uint64
@@ -769,15 +768,6 @@ func (e *Engine) Release() {
 	for _, t := range e.alts {
 		t.Release()
 	}
-}
-
-// InferredLinks returns the links of the most recent decision (nil when
-// none).
-func (e *Engine) InferredLinks() []topology.Link {
-	if len(e.decisions) == 0 {
-		return nil
-	}
-	return e.decisions[len(e.decisions)-1].Result.Links
 }
 
 func (e *Engine) logf(format string, args ...any) {

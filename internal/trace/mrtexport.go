@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"swift/internal/bgp"
@@ -16,7 +17,8 @@ import (
 var Epoch = time.Date(2016, 11, 1, 0, 0, 0, 0, time.UTC)
 
 // WriteSessionRIB dumps a session's initial table as TABLE_DUMP_V2
-// records, the format RouteViews RIB snapshots use.
+// records, the format RouteViews RIB snapshots use. Origins are written
+// in ascending order, so one dataset always dumps the same bytes.
 func (ds *Dataset) WriteSessionRIB(w io.Writer, s Session) (records int, err error) {
 	mw := mrt.NewWriter(w)
 	if err := mw.WritePeerIndexTable(Epoch, s.Vantage, []mrt.PeerEntry{
@@ -24,8 +26,10 @@ func (ds *Dataset) WriteSessionRIB(w io.Writer, s Session) (records int, err err
 	}); err != nil {
 		return 0, err
 	}
+	rib := ds.SessionRIB(s)
 	seq := uint32(0)
-	for origin, path := range ds.SessionRIB(s) {
+	for _, origin := range slices.Sorted(maps.Keys(rib)) {
+		path := rib[origin]
 		for i := 0; i < ds.Net.Origins[origin]; i++ {
 			rec := &mrt.RIBRecord{
 				Sequence: seq,
@@ -50,20 +54,18 @@ func (ds *Dataset) WriteSessionRIB(w io.Writer, s Session) (records int, err err
 }
 
 // WriteSessionUpdates dumps every burst the session observes (at least
-// minBurst withdrawals) as BGP4MP update records, packing withdrawals
-// into shared UPDATE messages like a real speaker. It returns the
-// number of MRT records written.
+// minBurst withdrawals, the streams BurstsAt materializes) as BGP4MP
+// update records, each offset by its failure time and packing
+// withdrawals into shared UPDATE messages like a real speaker. It
+// returns the number of MRT records and bursts written.
 func (ds *Dataset) WriteSessionUpdates(w io.Writer, s Session, minBurst int) (records, bursts int, err error) {
 	mw := mrt.NewWriter(w)
+	all := ds.BurstsAt(s, minBurst)
 	for i := range ds.Failures {
-		d := ds.Delta(i)
-		wd, _ := ds.Base.BurstSizeAt(d, s.Vantage, s.Neighbor)
-		if wd < minBurst {
+		if wd, _ := ds.Base.BurstSizeAt(ds.Delta(i), s.Vantage, s.Neighbor); wd < minBurst {
 			continue
 		}
-		tm := ds.Cfg.Timing
-		tm.Seed = ds.Cfg.Seed ^ int64(i)<<20 ^ int64(s.Vantage)<<8 ^ int64(s.Neighbor)
-		b := ds.Base.BurstAt(d, s.Vantage, s.Neighbor, tm)
+		b := all[bursts]
 		bursts++
 		at := Epoch.Add(ds.Failures[i].At)
 
@@ -113,73 +115,4 @@ func (ds *Dataset) WriteSessionUpdates(w io.Writer, s Session, minBurst int) (re
 		}
 	}
 	return records, bursts, mw.Flush()
-}
-
-// ReadRIBInto replays a TABLE_DUMP_V2 stream into per-prefix routes,
-// calling fn for each (prefix, AS path) pair.
-func ReadRIBInto(r io.Reader, fn func(p netaddr.Prefix, path []uint32)) (int, error) {
-	mr := mrt.NewReader(r)
-	n := 0
-	for {
-		rec, err := mr.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if rec.Type != mrt.TypeTableDumpV2 || rec.Subtype != mrt.SubtypeRIBIPv4Unicast {
-			continue
-		}
-		rr, err := mrt.DecodeRIBIPv4(rec.Body)
-		if err != nil {
-			return n, fmt.Errorf("trace: RIB record: %w", err)
-		}
-		for _, e := range rr.Entries {
-			fn(rr.Prefix, e.Attrs.ASPath)
-			n++
-		}
-	}
-}
-
-// UpdateEvent is one per-prefix message decoded from an MRT update file.
-type UpdateEvent struct {
-	At       time.Time
-	Withdraw bool
-	Prefix   netaddr.Prefix
-	Path     []uint32
-}
-
-// ReadUpdates decodes a BGP4MP update stream into per-prefix events,
-// calling fn for each in file order.
-func ReadUpdates(r io.Reader, fn func(UpdateEvent)) (int, error) {
-	mr := mrt.NewReader(r)
-	var d bgp.UpdateDecoder
-	n := 0
-	for {
-		m, err := mr.NextBGP4MP()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if m.Header.Type != bgp.TypeUpdate {
-			continue
-		}
-		if err := d.Decode(m.Body); err != nil {
-			return n, fmt.Errorf("trace: update at %v: %w", m.Timestamp, err)
-		}
-		for _, p := range d.Withdrawn {
-			fn(UpdateEvent{At: m.Timestamp, Withdraw: true, Prefix: p})
-			n++
-		}
-		if len(d.NLRI) > 0 {
-			path := append([]uint32(nil), d.Attrs.ASPath...)
-			for _, p := range d.NLRI {
-				fn(UpdateEvent{At: m.Timestamp, Prefix: p, Path: path})
-				n++
-			}
-		}
-	}
 }

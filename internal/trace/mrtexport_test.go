@@ -2,11 +2,40 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
-	"time"
 
+	"swift/internal/event"
+	"swift/internal/mrt"
 	"swift/internal/netaddr"
 )
+
+// captureSink records what an mrt.Source delivers: RIB routes through
+// the Provisioner surface, update events through Apply.
+type captureSink struct {
+	rib         map[netaddr.Prefix][]uint32
+	provisioned bool
+	events      []event.Event
+}
+
+func (c *captureSink) Learn(_ event.PeerKey, p netaddr.Prefix, path []uint32) {
+	if c.rib == nil {
+		c.rib = make(map[netaddr.Prefix][]uint32)
+	}
+	c.rib[p] = slices.Clone(path) // the source recycles its decode buffers
+}
+
+func (c *captureSink) Provisioned(event.PeerKey) bool { return c.provisioned }
+
+func (c *captureSink) Provision(event.PeerKey) error {
+	c.provisioned = true
+	return nil
+}
+
+func (c *captureSink) Apply(b event.Batch) error {
+	c.events = append(c.events, b...)
+	return nil
+}
 
 func TestMRTRoundTripRIB(t *testing.T) {
 	ds := Generate(smallConfig(21))
@@ -20,32 +49,46 @@ func TestMRTRoundTripRIB(t *testing.T) {
 	if written == 0 {
 		t.Fatal("empty RIB")
 	}
-	got := make(map[netaddr.Prefix][]uint32)
-	read, err := ReadRIBInto(bytes.NewReader(buf.Bytes()), func(p netaddr.Prefix, path []uint32) {
-		got[p] = append([]uint32(nil), path...)
-	})
-	if err != nil {
+	var sink captureSink
+	src := &mrt.Source{
+		RIB:     bytes.NewReader(buf.Bytes()),
+		Updates: bytes.NewReader(nil),
+		Peer:    event.PeerKey{AS: s.Neighbor, BGPID: s.Neighbor},
+	}
+	if err := src.Run(&sink); err != nil {
 		t.Fatal(err)
 	}
-	if read != written {
-		t.Fatalf("read %d records, wrote %d", read, written)
+	if src.Routes != written || len(sink.rib) != written {
+		t.Fatalf("read %d routes (%d prefixes), wrote %d", src.Routes, len(sink.rib), written)
 	}
-	// Spot-check against the source of truth.
+	if !sink.provisioned {
+		t.Error("RIB load did not provision the peer")
+	}
 	for origin, path := range ds.SessionRIB(s) {
-		p := netaddr.PrefixFor(origin, 0)
-		gp, ok := got[p]
-		if !ok {
-			t.Fatalf("prefix %v missing from round trip", p)
-		}
-		if len(gp) != len(path) {
-			t.Fatalf("path length mismatch for %v: %v vs %v", p, gp, path)
-		}
-		for i := range gp {
-			if gp[i] != path[i] {
-				t.Fatalf("path mismatch for %v: %v vs %v", p, gp, path)
+		for i := 0; i < ds.Net.Origins[origin]; i++ {
+			p := netaddr.PrefixFor(origin, i)
+			if got, ok := sink.rib[p]; !ok || !slices.Equal(got, path) {
+				t.Fatalf("prefix %v: round trip gave %v (present %v), want %v", p, got, ok, path)
 			}
 		}
-		break
+	}
+}
+
+// TestWriteSessionRIBDeterministic pins the dump's byte order: two
+// dumps of one session from one dataset must be identical, so archives
+// generated with the same seed compare equal.
+func TestWriteSessionRIBDeterministic(t *testing.T) {
+	ds := Generate(smallConfig(21))
+	s := ds.Sessions[0]
+	var a, b bytes.Buffer
+	if _, err := ds.WriteSessionRIB(&a, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.WriteSessionRIB(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two dumps of the same session RIB differ")
 	}
 }
 
@@ -67,30 +110,28 @@ func TestMRTRoundTripUpdates(t *testing.T) {
 		t.Fatalf("bursts=%d records=%d", bursts, records)
 	}
 
+	var sink captureSink
+	src := &mrt.Source{Updates: bytes.NewReader(buf.Bytes()), Epoch: Epoch}
+	if err := src.Run(&sink); err != nil {
+		t.Fatal(err)
+	}
 	var withdrawals, announces int
-	var prev time.Time
-	monotonePerBurst := true
-	n, err := ReadUpdates(bytes.NewReader(buf.Bytes()), func(ev UpdateEvent) {
-		if ev.Withdraw {
+	for _, ev := range sink.events {
+		switch ev.Kind {
+		case event.KindWithdraw:
 			withdrawals++
-		} else {
+		case event.KindAnnounce:
 			announces++
 			if len(ev.Path) == 0 {
 				t.Error("announcement without AS path")
 			}
 		}
-		// Timestamps are non-decreasing within the file except at burst
-		// boundaries (failures are spread over the month).
-		if !prev.IsZero() && ev.At.Before(prev.Add(-24*time.Hour)) {
-			monotonePerBurst = false
+		if want := (event.PeerKey{AS: s.Neighbor, BGPID: 0x0a000001}); ev.Peer != want {
+			t.Fatalf("event attributed to %v, want %v", ev.Peer, want)
 		}
-		prev = ev.At
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if n != withdrawals+announces {
-		t.Fatalf("event count mismatch: %d vs %d", n, withdrawals+announces)
+	if src.Events != withdrawals+announces {
+		t.Fatalf("event count mismatch: %d vs %d", src.Events, withdrawals+announces)
 	}
 	// The file must contain each burst's withdrawals.
 	expected := 0
@@ -101,12 +142,5 @@ func TestMRTRoundTripUpdates(t *testing.T) {
 	}
 	if withdrawals != expected {
 		t.Errorf("withdrawals = %d, census says %d", withdrawals, expected)
-	}
-	_ = monotonePerBurst // informational; burst batching may reorder at boundaries
-}
-
-func TestReadUpdatesRejectsGarbage(t *testing.T) {
-	if _, err := ReadUpdates(bytes.NewReader([]byte("not an mrt file at all")), func(UpdateEvent) {}); err == nil {
-		t.Error("garbage must not parse")
 	}
 }

@@ -119,9 +119,6 @@ type (
 	ProvisionInfo = swiftengine.ProvisionInfo
 	// Decision records one accepted inference and its data-plane action.
 	Decision = swiftengine.Decision
-	// SessionSink is a concurrency-safe, peer-agnostic view of one
-	// Engine, for feeding it from multi-peer Sources.
-	SessionSink = swiftengine.SessionSink
 )
 
 // Algorithm configuration types.
@@ -246,16 +243,13 @@ func RegisterFleetMetrics(reg *MetricsRegistry, f *Fleet) {
 // call Provision, then stream event batches through Apply.
 func New(cfg Config) *Engine { return swiftengine.New(cfg) }
 
-// NewSessionSink wraps an Engine for concurrent multi-peer Sources.
-func NewSessionSink(e *Engine) *SessionSink { return swiftengine.NewSessionSink(e) }
-
 // NewFleet builds an empty engine fleet; peers are created on first
 // use from the configured engine factory.
 func NewFleet(cfg FleetConfig) *Fleet { return controller.NewFleet(cfg) }
 
-// NewBMPStation builds a BMP collector over an existing Sink (a Fleet,
-// or a SessionSink for single-engine deployments). Drive it with Serve
-// (a TCP listener) or ServeConn (any net.Conn).
+// NewBMPStation builds a BMP collector over an existing Sink, normally
+// a Fleet. Drive it with Serve (a TCP listener) or ServeConn (any
+// net.Conn).
 func NewBMPStation(cfg BMPStationConfig) *BMPStation { return bmp.NewStation(cfg) }
 
 // DefaultInference returns the paper's inference configuration

@@ -126,7 +126,7 @@ func TestEngineAndFleetAreSinks(t *testing.T) {
 	e := swift.New(swift.Config{LocalAS: 1, PrimaryNeighbor: 2})
 	fleet := swift.NewFleet(swift.FleetConfig{})
 	defer fleet.Close()
-	sinks = append(sinks, e, swift.NewSessionSink(e), fleet)
+	sinks = append(sinks, e, fleet)
 	p := swift.MustParsePrefix("192.0.2.0/24")
 	for i, s := range sinks {
 		if err := s.Apply(swift.Batch{swift.AnnounceEvent(time.Second, p, []uint32{2, 5})}); err != nil {
@@ -134,7 +134,6 @@ func TestEngineAndFleetAreSinks(t *testing.T) {
 		}
 	}
 	var _ swift.Provisioner = fleet
-	var _ swift.Provisioner = swift.NewSessionSink(e)
 }
 
 func TestFacadeHelpers(t *testing.T) {
